@@ -233,6 +233,44 @@ func BenchmarkRendezvousUniversal(b *testing.B) {
 	}
 }
 
+// coldMix is a fixed list of 256 rendezvous instances drawn like the cold
+// serving workload's requests: speed v ∈ [0.25, 0.75], any orientation φ and
+// chirality χ, a displacement of length [1, 3) in any direction, r = 0.25,
+// each at its default horizon (experiments.RendezvousHorizon).
+var coldMix = func() []Instance {
+	rng := rand.New(rand.NewSource(12))
+	ins := make([]Instance, 256)
+	for i := range ins {
+		d, a := 1+2*rng.Float64(), 2*math.Pi*rng.Float64()
+		chi := CCW
+		if rng.Intn(2) == 1 {
+			chi = CW
+		}
+		ins[i] = Instance{
+			Attrs: Attributes{V: 0.25 + 0.5*rng.Float64(), Tau: 1, Phi: 2 * math.Pi * rng.Float64(), Chi: chi},
+			D:     Polar(d, a),
+			R:     0.25,
+		}
+	}
+	return ins
+}()
+
+// BenchmarkRendezvousColdMix walks every coldMix instance once per op. Walk
+// lengths are heavy-tailed: all 256 meet, the median after 23 intervals, but
+// 123 walk past 64 intervals and the longest takes 8,229. Unlike
+// RendezvousHot, this exercises trajectory.Cursor past its first window.
+func BenchmarkRendezvousColdMix(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, in := range coldMix {
+			if _, err := Rendezvous(CumulativeSearch(), in, Options{Horizon: experiments.RendezvousHorizon(in)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(coldMix)), "walks/op")
+}
+
 // BenchmarkSearchDeepRound measures a search that must reach round 4 of
 // Algorithm 4 (hundreds of thousands of segments).
 func BenchmarkSearchDeepRound(b *testing.B) {
@@ -302,8 +340,8 @@ func BenchmarkTrajectoryGeneration(b *testing.B) {
 }
 
 // BenchmarkWalker measures the forward cursor over a frame-transformed
-// trajectory — the trajectory.Cursor machinery (window restarts, then the
-// batched streaming escape) that the merged two-stream walk sits on.
+// trajectory — the trajectory.Cursor pump (one generator run, suspended
+// between 64-segment windows) that the merged two-stream walk sits on.
 func BenchmarkWalker(b *testing.B) {
 	attrs := Attributes{V: 0.5, Tau: 1.5, Phi: 1.1, Chi: CW}
 	for b.Loop() {

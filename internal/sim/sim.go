@@ -10,9 +10,10 @@
 //
 // Both walks are allocation-free per segment: Search drives the program
 // generator directly with a callback, and the two-stream FirstMeeting merge
-// pulls value-typed segments through trajectory.Cursor — an explicit
-// resumable cursor over each stream — instead of iter.Pull coroutines. The
-// per-segment motions live in caller-owned motion.Mover storage.
+// pulls value-typed segments through one trajectory.Cursor per stream, which
+// runs the generator once on a pooled coroutine and hands segments out of
+// 64-segment windows. The per-segment motions live in caller-owned
+// motion.Mover storage, so a walk's memory is constant however long it runs.
 //
 // For whole grid rows of instances sharing one algorithm shape, the batched
 // SoA kernels (SearchBatch, RendezvousBatch, FirstMeetingBatch over
@@ -209,16 +210,16 @@ func (s *stream) close() { s.cur.Close() }
 // The two streams are walked by one merged loop over value-typed segments:
 // each iteration holds one segment per robot, resolves first contact on the
 // overlap interval, and advances whichever stream ends first. No segment is
-// boxed and no pull coroutine runs; see trajectory.Cursor for how the push
-// generators are suspended and resumed.
+// boxed; each generator runs once, suspended between windows of segments
+// (see trajectory.Cursor).
 func FirstMeeting(a, b trajectory.Source, r float64, opt Options) (Result, error) {
 	if opt.Horizon <= 0 || r <= 0 {
 		return Result{}, ErrBadOptions
 	}
 	mopt := detectOptions(opt, r)
 
-	// One allocation holds both streams: the cursors' cached collector
-	// closures capture pointers into it, so it escapes as a single object.
+	// One allocation holds both streams: their movers escape through
+	// motion.Contact, so keep them in a single object.
 	var w struct{ sa, sb stream }
 	sa, sb := &w.sa, &w.sb
 	sa.init(a)

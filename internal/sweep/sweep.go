@@ -228,11 +228,13 @@ func RunSampledContext[T any](ctx context.Context, n int, fn JobFunc[T], opt Opt
 			}
 		}
 	} else {
-		// Parallel path: a shared index channel feeds the pool; each worker
+		// Parallel path: workers claim indices from a shared counter; each
 		// writes only its own slots, so no locking is needed on results.
+		// No feeder goroutine: a channel handoff waits for the feeder to be
+		// scheduled, which idles cores between short jobs.
 		inner, cancel := context.WithCancel(ctx)
 		defer cancel()
-		indices := make(chan int)
+		var next atomic.Int64 // lowest unclaimed job index
 		var wg sync.WaitGroup
 		if owned := opt.Shard.CountIn(n); workers > owned {
 			workers = owned
@@ -241,29 +243,28 @@ func RunSampledContext[T any](ctx context.Context, n int, fn JobFunc[T], opt Opt
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := range indices {
+				// Claim no job once the run is canceled or a job failed. A
+				// claimed job always runs, so every index below a failed one
+				// executes and the lowest-index error is the one reported.
+				for inner.Err() == nil {
+					i := int(next.Add(1) - 1)
+					if i >= n {
+						return
+					}
+					if !opt.Shard.Owns(i) {
+						continue
+					}
 					results[i], errs[i] = fn(i, src.Draws(opt.BaseSeed, i))
 					if errs[i] != nil {
-						cancel() // stop feeding; peers finish their current job
+						cancel() // peers finish their current job and stop
 						return
 					}
 				}
 			}()
 		}
-	feed:
-		for i := 0; i < n; i++ {
-			if !opt.Shard.Owns(i) {
-				continue
-			}
-			select {
-			case indices <- i:
-			case <-inner.Done():
-				canceled = ctx.Err() != nil
-				break feed
-			}
-		}
-		close(indices)
 		wg.Wait()
+		claimed := min(int(next.Load()), n)
+		canceled = ctx.Err() != nil && opt.Shard.CountIn(claimed) < opt.Shard.CountIn(n)
 	}
 
 	// Report the lowest-index failure so the caller sees a deterministic

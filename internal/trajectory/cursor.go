@@ -1,67 +1,119 @@
 package trajectory
 
 import (
+	"iter"
 	"sync"
 
 	"repro/internal/segment"
 )
 
-// Cursor buffering parameters. The ring starts small so the common case —
-// a simulation that meets within a few dozen segments — costs one buffer
-// fill and no goroutines; it doubles on each refill so restart-skip work
-// stays amortised O(1) per segment; past streamThreshold the cursor stops
-// restarting and spawns a batching producer instead, so a to-horizon walk
-// over hundreds of thousands of segments is generated exactly once more and
-// streamed with two channel operations per batch.
-const (
-	cursorInitialBuf    = 64
-	cursorStreamBatch   = 256
-	cursorStreamAtLeast = 8192 // consumed count at which refills switch to streaming
-)
+// window is how many segments a pump generates per resume. One window covers
+// the median simulated rendezvous; a 256-segment window measured slower.
+const window = 64
 
-// bufPool recycles the initial-size cursor buffers so the hot path performs
-// no per-simulation buffer allocation in steady state.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]segment.Seg, cursorInitialBuf)
-		return &b
-	},
+// maxIdlePumps bounds the free list of parked pumps; a pump released beyond
+// it is stopped instead.
+const maxIdlePumps = 64
+
+// A pump runs sources on one iter.Pull coroutine that outlives them. Each
+// resume generates the next window of the current source into buf; when the
+// source returns, the pump yields its tail window and parks until it is
+// handed the next source. Pumps are reused through a mutex-guarded free list
+// rather than a sync.Pool: a pool may drop an entry at any GC, which would
+// strand its parked goroutine.
+type pump struct {
+	buf   [window]segment.Seg
+	n     int    // segments in buf
+	src   Source // the source to start on the next resume
+	ended bool   // the source returned; buf[:n] is its tail
+	quit  bool   // the cursor closed mid-source: unwind the generator
+	next  func() (struct{}, bool)
+	stop  func()
 }
 
-// Cursor is an explicit resumable pull cursor over a push Source: Next
-// returns the source's segments one at a time, in order, without the
-// goroutine-backed machinery of iter.Pull.
+var pumps struct {
+	sync.Mutex
+	idle []*pump
+}
+
+// getPump takes an idle pump, or starts a new one, primed to run src.
+func getPump(src Source) *pump {
+	pumps.Lock()
+	var p *pump
+	if n := len(pumps.idle); n > 0 {
+		p = pumps.idle[n-1]
+		pumps.idle[n-1] = nil
+		pumps.idle = pumps.idle[:n-1]
+	}
+	pumps.Unlock()
+	if p == nil {
+		p = &pump{}
+		p.next, p.stop = iter.Pull(p.run)
+	}
+	p.src, p.n, p.ended, p.quit = src, 0, false, false
+	return p
+}
+
+// putPump parks an idle pump on the free list, or stops it if the list is
+// full.
+func putPump(p *pump) {
+	pumps.Lock()
+	if len(pumps.idle) < maxIdlePumps {
+		pumps.idle = append(pumps.idle, p)
+		p = nil
+	}
+	pumps.Unlock()
+	if p != nil {
+		p.stop()
+	}
+}
+
+// run is the coroutine body: one source per iteration, yielding after every
+// full window and once more when the source returns.
+func (p *pump) run(yield func(struct{}) bool) {
+	emit := func(s segment.Seg) bool {
+		if p.quit {
+			return false
+		}
+		p.buf[p.n] = s
+		p.n++
+		if p.n < window {
+			return true
+		}
+		if !yield(struct{}{}) || p.quit {
+			return false
+		}
+		p.n = 0
+		return true
+	}
+	for {
+		src := p.src
+		p.src = nil
+		src(emit)
+		p.ended = true
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// Cursor is a resumable pull cursor over a push Source: Next returns the
+// source's segments one at a time, in order. The first Next takes a pump
+// from the free list and starts the source on it; the generator then runs
+// exactly once, suspended between 64-segment windows, so walking n segments
+// costs n/64 coroutine switches and no allocation in steady state.
 //
-// A Source is a callback generator and cannot be suspended, so the cursor
-// buffers a window of upcoming segments. While the window covers the walk
-// (the common case — most simulations resolve within the first few dozen
-// segments) a single generator invocation fills it and nothing else runs.
-// When the window is exhausted the cursor re-invokes the source, skipping
-// the already-consumed prefix and filling a doubled window — geometric
-// growth keeps the total re-generation work linear in the number of
-// segments consumed. Once the consumed prefix is long enough that
-// restarting would dominate (streamThreshold), the cursor switches to a
-// single background producer goroutine that streams the remainder in
-// batches, bounding both memory and re-generation for unbounded walks.
-//
-// The restart strategy requires the Source to be pure: re-invoking it must
-// yield the same segments (see the Source contract). Close releases the
-// pooled buffer and stops the producer, if any; it is safe to call at most
-// once, and using the cursor after Close is invalid.
+// Close ends the walk: a source still running is told to stop (its deferred
+// cleanup runs) and the pump is returned for reuse. Every cursor that has
+// called Next must be closed or exhausted, or its pump's goroutine stays
+// parked. If the source panics, the panic surfaces from Next, the cursor
+// reads as exhausted, and its pump is dropped.
 type Cursor struct {
 	src      Source
-	buf      []segment.Seg // current window (pooled at initial size, or a stream batch)
-	pooled   *[]segment.Seg
-	head     int // next unread index in buf[:fill]
-	fill     int
-	consumed int                    // segments handed out across all windows
-	srcEnded bool                   // the source ended inside the current window
-	skip     int                    // refill scratch: segments still to skip in this re-invocation
-	collect  func(segment.Seg) bool // cached refill collector (one closure per cursor)
-
-	streaming bool
-	batches   chan []segment.Seg
-	stop      chan struct{}
+	p        *pump // nil before the first Next and once done
+	head     int   // next unread index in p.buf[:p.n]
+	consumed int   // segments handed out
+	done     bool  // source exhausted or cursor closed
 }
 
 // Init readies a zero Cursor over src. Embedding a Cursor in a caller's
@@ -80,127 +132,53 @@ func NewCursor(src Source) *Cursor {
 // source is exhausted.
 func (c *Cursor) Next() (seg segment.Seg, ok bool) {
 	for {
-		if c.head < c.fill {
-			seg = c.buf[c.head]
+		if p := c.p; p != nil && c.head < p.n {
+			seg = p.buf[c.head]
 			c.head++
 			c.consumed++
 			return seg, true
 		}
-		if c.srcEnded {
+		if !c.resume() {
 			return segment.Seg{}, false
 		}
-		if c.streaming {
-			batch, open := <-c.batches
-			if !open {
-				c.srcEnded = true
-				return segment.Seg{}, false
-			}
-			c.releaseBuf()
-			c.buf, c.head, c.fill = batch, 0, len(batch)
-			continue
-		}
-		if c.consumed >= cursorStreamAtLeast {
-			c.startStream()
-			continue
-		}
-		c.refill()
 	}
+}
+
+// resume generates the next window, reporting false once the source has
+// ended (the pump goes back to the free list then).
+func (c *Cursor) resume() bool {
+	p := c.p
+	switch {
+	case c.done:
+		return false
+	case p == nil:
+		p = getPump(c.src)
+	case p.ended:
+		c.Close()
+		return false
+	}
+	// Detach while the generator runs: if it panics, the cursor is left
+	// done and the dead pump unreferenced.
+	c.p, c.head, c.done = nil, 0, true
+	p.next()
+	c.p, c.done = p, false
+	return true
 }
 
 // Consumed returns the number of segments handed out so far.
 func (c *Cursor) Consumed() int { return c.consumed }
 
-// refill re-invokes the source, skips the consumed prefix, and fills a
-// (possibly doubled) window.
-func (c *Cursor) refill() {
-	switch {
-	case c.buf == nil:
-		c.pooled = bufPool.Get().(*[]segment.Seg)
-		c.buf = *c.pooled
-	case c.consumed == c.fill:
-		// First refill after the initial window: from here on the window
-		// doubles, so hand the pooled buffer back and grow privately.
-		c.releaseBuf()
-		c.buf = make([]segment.Seg, 2*cursorInitialBuf)
-	default:
-		c.buf = make([]segment.Seg, 2*len(c.buf))
-	}
-	c.head, c.fill = 0, 0
-	c.skip = 0
-	if c.collect == nil {
-		c.collect = func(s segment.Seg) bool {
-			if c.skip < c.consumed {
-				c.skip++
-				return true
-			}
-			c.buf[c.fill] = s
-			c.fill++
-			return c.fill < len(c.buf)
-		}
-	}
-	c.src(c.collect)
-	if c.fill < len(c.buf) {
-		c.srcEnded = true
-	}
-}
-
-// startStream hands generation to a producer goroutine that skips the
-// consumed prefix once and then streams batches until stopped.
-func (c *Cursor) startStream() {
-	c.streaming = true
-	c.batches = make(chan []segment.Seg, 2)
-	c.stop = make(chan struct{})
-	go produce(c.src, c.consumed, c.batches, c.stop)
-}
-
-// produce generates src once, skipping the first skip segments, and sends
-// the rest in batches. It returns — unwinding the generator — when the
-// consumer signals stop, and closes the batch channel when the source ends.
-func produce(src Source, skip int, batches chan<- []segment.Seg, stop <-chan struct{}) {
-	defer close(batches)
-	n := 0
-	batch := make([]segment.Seg, 0, cursorStreamBatch)
-	src(func(s segment.Seg) bool {
-		if n < skip {
-			n++
-			return true
-		}
-		batch = append(batch, s)
-		if len(batch) == cursorStreamBatch {
-			select {
-			case batches <- batch:
-			case <-stop:
-				return false
-			}
-			batch = make([]segment.Seg, 0, cursorStreamBatch)
-		}
-		return true
-	})
-	if len(batch) > 0 {
-		select {
-		case batches <- batch:
-		case <-stop:
-		}
-	}
-}
-
-// releaseBuf returns a pooled window to the pool.
-func (c *Cursor) releaseBuf() {
-	if c.pooled != nil {
-		bufPool.Put(c.pooled)
-		c.pooled = nil
-	}
-	c.buf = nil
-}
-
-// Close releases the cursor's buffer and stops its producer goroutine, if
-// one was started.
+// Close stops the source if it is still running and returns the pump to the
+// free list. Next after Close reports exhaustion.
 func (c *Cursor) Close() {
-	if c.streaming {
-		close(c.stop)
-		c.streaming = false
+	p := c.p
+	c.p, c.head, c.done = nil, 0, true
+	if p == nil {
+		return
 	}
-	c.releaseBuf()
-	c.head, c.fill = 0, 0
-	c.srcEnded = true
+	if !p.ended {
+		p.quit = true
+		p.next() // unwinds the generator
+	}
+	putPump(p)
 }

@@ -6,10 +6,10 @@
 // segment.Seg through a callback moves a struct — no per-segment interface
 // boxing, no heap allocation — which is what lets the simulator walk
 // millions of segments allocation-free. Pull-style consumption (the
-// simulator's merged two-stream walk, Walker, Path) is built on Cursor, an
-// explicit resumable cursor that buffers a window of upcoming segments and
-// re-invokes or streams the generator as needed — no iter.Pull, no
-// per-segment coroutine switches.
+// simulator's merged two-stream walk, Walker, Path) is built on Cursor,
+// which runs each generator exactly once on a reused iter.Pull coroutine
+// and suspends it between 64-segment windows, so the coroutine switch is
+// paid once per window rather than per segment.
 package trajectory
 
 import (
@@ -24,9 +24,9 @@ import (
 // told to stop. Each segment is assumed to start where the previous one
 // ended (continuity); CheckContinuity verifies this for tests.
 //
-// Sources must be pure: re-invoking one yields the same segments. Cursor
-// relies on this to resume after a suspension by re-running the generator
-// and skipping the consumed prefix.
+// Sources must be pure: re-invoking one yields the same segments, so one
+// trajectory value can be walked any number of times (per instance, per
+// batch lane, per experiment). Cursor itself runs a source only once.
 type Source = iter.Seq[segment.Seg]
 
 // FromSlice returns a finite Source yielding the given segments in order.

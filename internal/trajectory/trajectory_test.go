@@ -211,9 +211,8 @@ func TestPathLazyConsumption(t *testing.T) {
 	p := NewPath(src)
 	defer p.Close()
 	p.Position(2.5)
-	// The cursor buffers one read-ahead window (64 segments) in a single
-	// generator invocation; laziness now means "bounded read-ahead", not
-	// "exactly as many as queried".
+	// The cursor generates one read-ahead window (64 segments) at a time;
+	// laziness means "bounded read-ahead", not "exactly as many as queried".
 	if pulled > 65 {
 		t.Errorf("pulled %d segments for a query at t=2.5, want <= one cursor window", pulled)
 	}

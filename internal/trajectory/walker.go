@@ -6,7 +6,7 @@ import (
 )
 
 // Walker is a forward-only cursor over a Source holding a bounded window of
-// state: only the current segment (plus the Cursor's read-ahead buffer) is
+// state: only the current segment (plus the Cursor's 64-segment window) is
 // retained. The simulator's helpers use it to walk trajectories with
 // millions of segments without caching them all (contrast Path, which
 // supports random access at the cost of remembering everything).
