@@ -90,21 +90,35 @@ func TestCursorFiniteWindowEdges(t *testing.T) {
 	}
 }
 
-// TestCursorRunsSourceOnce: each cursor runs its generator exactly once,
-// however many windows it walks, hands out the sequence in order, and is
-// exhausted once closed mid-window.
-func TestCursorRunsSourceOnce(t *testing.T) {
+// TestCursorRestartSkip: resuming a cursor across window refills never
+// restarts the generator and skips what it already produced — each cursor
+// runs its source exactly once, however many windows it walks, and hands
+// out the sequence in order with no duplicates or gaps.
+func TestCursorRestartSkip(t *testing.T) {
 	invocations := 0
-	for k, n := range []int{1, window, 5*window + 3, 20_000} {
+	for k, n := range []int{1, window, window + 1, 5*window + 3} {
 		c := NewCursor(counting(&invocations))
 		walkInOrder(t, c, n)
 		c.Close()
-		if _, ok := c.Next(); ok {
-			t.Errorf("n=%d: Next after Close reported a segment", n)
-		}
 		if invocations != k+1 {
 			t.Fatalf("after %d cursors the generator ran %d times", k+1, invocations)
 		}
+	}
+}
+
+// TestCursorStreamingEscape: a long walk over an infinite source stays on
+// the cursor's one generator run (no hand-off to another producer), delivers
+// the exact sequence, and is exhausted once closed mid-window.
+func TestCursorStreamingEscape(t *testing.T) {
+	invocations := 0
+	c := NewCursor(counting(&invocations))
+	walkInOrder(t, c, 20_000)
+	c.Close()
+	if _, ok := c.Next(); ok {
+		t.Error("Next after Close reported a segment")
+	}
+	if invocations != 1 {
+		t.Errorf("the generator ran %d times over one walk, want 1", invocations)
 	}
 }
 
