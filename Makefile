@@ -180,8 +180,9 @@ shardcheck:
 
 # Short fuzz passes over the property-based targets (grid-spec, shard-spec
 # and sampler-name parsing, τ-decomposition, Lambert W, the batch-vs-scalar
-# kernel differential, and journal crash recovery — arbitrary journal bytes
-# must load without error and yield exactly the CRC-valid clean prefix).
+# kernel differential, the cached-Frame segment oracle, and journal crash
+# recovery — arbitrary journal bytes must load without error and yield
+# exactly the CRC-valid clean prefix).
 # Override FUZZTIME for shorter/longer passes, e.g. `make fuzz FUZZTIME=5s`.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseAxis -fuzztime $(FUZZTIME) ./internal/sweep
@@ -189,4 +190,5 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseSampler -fuzztime $(FUZZTIME) ./internal/sampler
 	$(GO) test -run NONE -fuzz FuzzDecomposeTau -fuzztime $(FUZZTIME) ./internal/bounds
 	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzFrameArcAt -fuzztime $(FUZZTIME) ./internal/segment
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache

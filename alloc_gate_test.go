@@ -3,6 +3,11 @@ package rendezvous
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/algo"
+	"repro/internal/frame"
+	"repro/internal/gather"
+	"repro/internal/geom"
 )
 
 // Allocation-ceiling gates for the simulator hot paths. BENCH_sim.json
@@ -10,15 +15,15 @@ import (
 // any machine the moment a change re-introduces per-segment boxing or
 // cursor allocations, without needing a benchmark run.
 //
-// The rendezvous ceiling is the measured floor: 5 allocs, from one
-// walk-state struct plus, per robot, a frame-transform closure and the
-// callback it wraps around the program when the cursor runs it (the
-// cursors' pumps come from a free list). Search measures 3 against a
-// ceiling of 10. The ceilings are absolute, not relative: an extra alloc
+// The rendezvous ceiling is the measured floor: 1 alloc, the walk-state
+// struct holding both robots' streams, frames and movers (the programs run
+// unwrapped, each stream applies its robot's frame as it pulls segments,
+// and the cursors' pumps come from a free list). Search measures 3 against
+// a ceiling of 10. The ceilings are absolute, not relative: an extra alloc
 // per walk means a hot-path structure changed and must be justified by
 // re-pinning the number here.
 const (
-	rendezvousAllocCeiling = 5
+	rendezvousAllocCeiling = 1
 	searchAllocCeiling     = 10
 )
 
@@ -100,4 +105,41 @@ func TestRendezvousToHorizonO1Memory(t *testing.T) {
 		}
 	}
 	t.Errorf("every walk allocated over the %d-byte ceiling, the last %d bytes", toHorizonByteCeiling, b)
+}
+
+// gatherAllocCeiling is the measured floor of one gather.Simulate call on
+// E10's first three-robot instance: 38 allocs. Each of the three pairwise
+// walks takes 7 (a walk state plus, per robot, a frame-transform closure,
+// the callback it wraps around the program and the Frame it builds); the
+// gathering walk takes 4 per robot (a Walker besides the same three) and 4
+// slices; the result holds 1. None of it depends on the walk's length.
+const gatherAllocCeiling = 38
+
+// TestGatherAllocGate checks that the E10 gathering walk allocates a fixed
+// number of objects however far it runs: the same count at two horizons 10×
+// apart (the diameter never drops to r on this instance, so both walks run
+// to their horizons), under gatherAllocCeiling.
+func TestGatherAllocGate(t *testing.T) {
+	mk := func(v, x, y float64) gather.Robot {
+		return gather.Robot{Attrs: frame.Attributes{V: v, Tau: 1, Chi: frame.CCW}, Origin: geom.V(x, y)}
+	}
+	in := gather.Instance{R: 0.25, Robots: []gather.Robot{mk(1, 0, 0), mk(0.5, 1, 0), mk(0.75, 0, 1)}}
+	allocs := func(horizon float64) float64 {
+		simulate := func() {
+			res, err := gather.Simulate(algo.CumulativeSearch(), in, gather.Options{Horizon: horizon})
+			if err != nil || res.Gathered {
+				t.Fatalf("horizon %g: gathered=%v err=%v", horizon, res.Gathered, err)
+			}
+		}
+		simulate() // warm the cursors' pump free list
+		return testing.AllocsPerRun(3, simulate)
+	}
+	short, long := allocs(2e3), allocs(2e4)
+	t.Logf("gather.Simulate: %.1f allocs at horizon 2e3, %.1f at 2e4", short, long)
+	if short != long {
+		t.Errorf("allocations grow with the horizon: %.1f at 2e3, %.1f at 2e4", short, long)
+	}
+	if long > gatherAllocCeiling {
+		t.Errorf("gather.Simulate: %.1f allocs/run, ceiling %d", long, gatherAllocCeiling)
+	}
 }

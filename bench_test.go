@@ -346,7 +346,7 @@ func BenchmarkWalker(b *testing.B) {
 	attrs := Attributes{V: 0.5, Tau: 1.5, Phi: 1.1, Chi: CW}
 	for b.Loop() {
 		w := trajectory.NewWalker(attrs.Apply(algo.CumulativeSearch(), geom.V(1, 0)))
-		if _, _, ok := w.SegmentAt(5e4); !ok {
+		if seg, _, _, _ := w.SegmentAt(5e4); seg == nil {
 			b.Fatal("walker exhausted unexpectedly")
 		}
 		w.Close()

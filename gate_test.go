@@ -12,7 +12,7 @@ import (
 
 // TestSweepWorkersGate is the multi-core performance gate wired into
 // `make ci`: on a multi-core runner the CPU-bound sweep workload (the
-// BenchmarkSweepWorkers* instances, repeated to a pass of ~50 ms serial)
+// BenchmarkSweepWorkers* instances, repeated to a pass of ~60 ms serial)
 // must speed up when fanned out, ≥2× with three or more cores. On two cores
 // perfect scaling is exactly 2×, so the bar drops to 1.6× to leave room for
 // scheduler noise; single-CPU runners skip (the latency-bound concurrency
@@ -29,7 +29,7 @@ func TestSweepWorkersGate(t *testing.T) {
 	}
 	vs := []float64{0.25, 0.4, 0.5, 0.6, 0.75, 0.9}
 	phis := []float64{math.Pi / 4, math.Pi / 2, 3 * math.Pi / 4, math.Pi}
-	const reps = 80 // passes over the 24 instances per timed sweep
+	const reps = 200 // passes over the 24 instances per timed sweep
 	cells := len(vs) * len(phis)
 	run := func(workers int) time.Duration {
 		runtime.GC()

@@ -125,14 +125,16 @@ func TestDistanceToTransformed(t *testing.T) {
 	m := geom.Affine{M: geom.FrameMatrix(0.5, 1.2, -1), T: geom.V(2, -1)}
 	// Transformed line.
 	trLineSeg := segment.UnitLine(geom.V(0, 0), geom.V(2, 0)).Seg()
-	trLine := trLineSeg.Transformed(m, 1.5)
+	trLineFrame := segment.NewFrame(m, 1.5)
+	trLine := trLineFrame.Apply(&trLineSeg)
 	p := geom.V(1, 1)
 	if got, want := DistanceToSegment(p, trLine), sampledDistance(p, trLine); math.Abs(got-want) > 0.05 {
 		t.Errorf("transformed line dist = %v, sampled %v", got, want)
 	}
 	// Transformed arc.
 	trArcSeg := segment.NewArc(geom.V(1, 0), 1, 0, 2, 1).Seg()
-	trArc := trArcSeg.Transformed(m, 2)
+	trArcFrame := segment.NewFrame(m, 2)
+	trArc := trArcFrame.Apply(&trArcSeg)
 	if got, want := DistanceToSegment(p, trArc), sampledDistance(p, trArc); math.Abs(got-want) > 0.05 {
 		t.Errorf("transformed arc dist = %v, sampled %v", got, want)
 	}

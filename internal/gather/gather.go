@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/frame"
 	"repro/internal/geom"
@@ -100,11 +99,12 @@ func Simulate(program trajectory.Source, in Instance, opt Options) (Result, erro
 	if opt.Horizon <= 0 {
 		return Result{}, sim.ErrBadOptions
 	}
-	var res Result
+	n := len(in.Robots)
+	res := Result{Pairs: make([]PairResult, 0, n*(n-1)/2)}
 
 	// Pairwise meetings via the two-robot engine (exact closed forms).
 	for i := range in.Robots {
-		for j := i + 1; j < len(in.Robots); j++ {
+		for j := i + 1; j < n; j++ {
 			a := in.Robots[i].Attrs.Apply(program, in.Robots[i].Origin)
 			b := in.Robots[j].Attrs.Apply(program, in.Robots[j].Origin)
 			r, err := sim.FirstMeeting(a, b, in.R, opt)
@@ -127,14 +127,22 @@ func Simulate(program trajectory.Source, in Instance, opt Options) (Result, erro
 }
 
 // firstDiameterDrop finds the first time the robots' diameter is ≤ R, by
-// safe advancement over the merged segment timeline.
+// safe advancement over the merged segment timeline. Each robot is walked
+// forward once; its mover is refreshed only when its walker moves to a new
+// segment (or parks at the end of a finite program), and the diameter
+// evaluations reuse one scratch slice, so the walk allocates nothing per
+// segment or per safe-advance step.
 func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t float64, ok bool, diamAtHorizon float64, err error) {
 	n := len(in.Robots)
 	walkers := make([]*trajectory.Walker, n)
 	for i, r := range in.Robots {
 		walkers[i] = trajectory.NewWalker(r.Attrs.Apply(program, r.Origin))
-		defer walkers[i].Close()
 	}
+	defer func() {
+		for _, w := range walkers {
+			w.Close()
+		}
+	}()
 	slack := opt.Slack
 	if slack <= 0 {
 		slack = 1e-9 * in.R
@@ -142,21 +150,26 @@ func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t f
 
 	movers := make([]motion.Mover, n)
 	ends := make([]float64, n)
+	pos := make([]geom.Vec, n)
 	now := 0.0
 	for now < opt.Horizon {
 		intervalEnd := opt.Horizon
 		allHalted := true
 		for i, w := range walkers {
-			seg, start, alive := w.SegmentAt(now)
-			if !alive {
-				movers[i].SetStatic(w.FinalPosition())
-				ends[i] = math.Inf(1)
+			seg, start, dur, advanced := w.SegmentAt(now)
+			if advanced {
+				if seg == nil {
+					movers[i].SetStatic(w.FinalPosition())
+					ends[i] = math.Inf(1)
+				} else {
+					movers[i].Set(seg, start, dur)
+					ends[i] = start + dur
+				}
+			}
+			if seg == nil {
 				continue
 			}
 			allHalted = false
-			dur := seg.Duration()
-			movers[i].Set(&seg, start, dur)
-			ends[i] = start + dur
 			if ends[i] < intervalEnd {
 				intervalEnd = ends[i]
 			}
@@ -164,7 +177,7 @@ func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t f
 
 		if allHalted {
 			// Diameter is constant forever.
-			diam, _ := diameterAndRate(movers, now)
+			diam, _ := diameterAndRate(movers, pos, now)
 			if diam-in.R <= slack {
 				return now, true, 0, nil
 			}
@@ -174,7 +187,7 @@ func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t f
 		// Safe advance on g(t) = diameter − R within [now, intervalEnd].
 		t := now
 		for t < intervalEnd {
-			diam, closeRate := diameterAndRate(movers, t)
+			diam, closeRate := diameterAndRate(movers, pos, t)
 			g := diam - in.R
 			if g <= slack {
 				return t, true, 0, nil
@@ -186,19 +199,24 @@ func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t f
 		}
 		now = intervalEnd
 	}
-	diam, _ := diameterAndRate(movers, opt.Horizon)
+	diam, _ := diameterAndRate(movers, pos, opt.Horizon)
 	return 0, false, diam, nil
 }
 
 // diameterAndRate returns the robots' diameter at time t and an upper bound
 // on the rate at which the diameter can decrease (the sum of the two
-// largest speed bounds).
-func diameterAndRate(movers []motion.Mover, t float64) (diam, rate float64) {
-	pos := make([]geom.Vec, len(movers))
-	speeds := make([]float64, len(movers))
+// largest speed bounds). pos is caller-owned scratch of len(movers).
+func diameterAndRate(movers []motion.Mover, pos []geom.Vec, t float64) (diam, rate float64) {
+	// Speed bounds are non-negative, so the two largest start at zero.
+	var first, second float64
 	for i := range movers {
 		pos[i] = movers[i].At(t)
-		speeds[i] = movers[i].SpeedBound()
+		switch v := movers[i].SpeedBound(); {
+		case v > first:
+			first, second = v, first
+		case v > second:
+			second = v
+		}
 	}
 	for i := range pos {
 		for j := i + 1; j < len(pos); j++ {
@@ -207,12 +225,7 @@ func diameterAndRate(movers []motion.Mover, t float64) (diam, rate float64) {
 			}
 		}
 	}
-	sort.Float64s(speeds)
-	n := len(speeds)
-	if n >= 2 {
-		rate = speeds[n-1] + speeds[n-2]
-	}
-	return diam, rate
+	return diam, first + second
 }
 
 // AllPairsFeasible reports whether every robot pair has a symmetry-breaking

@@ -43,7 +43,12 @@ type Linear struct {
 var _ Motion = Linear{}
 
 // At implements Motion.
-func (l Linear) At(t float64) geom.Vec { return l.P0.Add(l.Vel.Scale(t - l.T0)) }
+func (l Linear) At(t float64) geom.Vec { return l.at(t) }
+
+// at is At in place: Mover.At calls it on its stored motion, which reads
+// the fields where they are instead of first copying the struct to the
+// stack (a copy that stalled the contact loop's loads on some layouts).
+func (l *Linear) at(t float64) geom.Vec { return l.P0.Add(l.Vel.Scale(t - l.T0)) }
 
 // SpeedBound implements Motion.
 func (l Linear) SpeedBound() float64 { return l.Vel.Norm() }
@@ -64,7 +69,10 @@ type Circular struct {
 var _ Motion = Circular{}
 
 // At implements Motion.
-func (c Circular) At(t float64) geom.Vec {
+func (c Circular) At(t float64) geom.Vec { return c.at(t) }
+
+// at is At in place (see Linear.at).
+func (c *Circular) at(t float64) geom.Vec {
 	return c.Center.Add(geom.Polar(c.Radius, c.Theta0+c.Omega*(t-c.T0)))
 }
 

@@ -345,20 +345,23 @@ func TestFromSegmentTransformed(t *testing.T) {
 
 	// Transformed line → Linear.
 	trLineSeg := segment.UnitLine(geom.Zero, geom.V(2, 0)).Seg()
-	trLine := trLineSeg.Transformed(m, 1.5)
+	trLineFrame := segment.NewFrame(m, 1.5)
+	trLine := trLineFrame.Apply(&trLineSeg)
 	if _, ok := FromSegment(trLine, 0).(Linear); !ok {
 		t.Errorf("transformed line = %T, want Linear", FromSegment(trLine, 0))
 	}
 	// Transformed wait → Linear (static).
 	trWaitSeg := segment.NewWait(geom.V(1, 0), 2).Seg()
-	trWait := trWaitSeg.Transformed(m, 1.5)
+	trWaitFrame := segment.NewFrame(m, 1.5)
+	trWait := trWaitFrame.Apply(&trWaitSeg)
 	lin, ok := FromSegment(trWait, 0).(Linear)
 	if !ok || lin.Vel != (geom.Vec{}) {
 		t.Errorf("transformed wait = %T (%+v), want static Linear", FromSegment(trWait, 0), lin)
 	}
 	// Transformed arc → Circular, positions matching.
 	trArcSeg := segment.NewArc(geom.V(1, 0), 1, 0, 2, 1).Seg()
-	trArc := trArcSeg.Transformed(m, 2)
+	trArcFrame := segment.NewFrame(m, 2)
+	trArc := trArcFrame.Apply(&trArcSeg)
 	circ, ok := FromSegment(trArc, 5).(Circular)
 	if !ok {
 		t.Fatalf("transformed arc = %T, want Circular", FromSegment(trArc, 5))
@@ -376,7 +379,8 @@ func TestFromSegmentTransformedMotionAccuracy(t *testing.T) {
 	// interior times (affine maps preserve uniform linear motion).
 	m := geom.Affine{M: geom.FrameMatrix(1.3, 2.7, +1), T: geom.V(-1, 4)}
 	trSeg := segment.UnitLine(geom.V(1, 1), geom.V(4, 5)).Seg()
-	tr := trSeg.Transformed(m, 0.7)
+	trFrame := segment.NewFrame(m, 0.7)
+	tr := trFrame.Apply(&trSeg)
 	lin := FromSegment(tr, 2).(Linear)
 	for i := 0; i <= 10; i++ {
 		lt := tr.Duration() * float64(i) / 10

@@ -77,9 +77,9 @@ func (m *Mover) SetStatic(p geom.Vec) {
 func (m *Mover) At(t float64) geom.Vec {
 	switch m.kind {
 	case moverLinear:
-		return m.lin.At(t)
+		return m.lin.at(t)
 	case moverCircular:
-		return m.circ.At(t)
+		return m.circ.at(t)
 	default:
 		return m.seg.Position(t - m.t0)
 	}

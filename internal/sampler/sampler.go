@@ -157,13 +157,46 @@ func (s *Source) Name() string { return s.kind.String() }
 
 // Draws returns the handle of dense job index under the given base seed.
 // The handle is cheap value state; for the pseudo kind it owns the job's
-// private *rand.Rand (the allocation the pre-sampler engine made per job).
+// private *rand.Rand, whose generator is seeded on its first draw.
 func (s *Source) Draws(seed int64, index int) Draws {
 	d := Draws{kind: s.kind, seed: seed, index: index, block: s.block}
 	if s.kind == Pseudo {
-		d.rng = rand.New(rand.NewSource(SeedAt(seed, index)))
+		d.rng = pseudoRand(seed, index)
 	}
 	return d
+}
+
+// pseudoRand returns job index's pseudo stream: exactly
+// rand.New(rand.NewSource(SeedAt(seed, index))), with the seeding deferred
+// to the first draw.
+func pseudoRand(seed int64, index int) *rand.Rand {
+	return rand.New(&lazySource{seed: SeedAt(seed, index)})
+}
+
+// lazySource is rand.NewSource(seed), seeded on first use. Seeding fills
+// the generator's 4.9 KB state table, which a job that never draws need not
+// pay for. It implements rand.Source64, as the eager source does, so a
+// rand.Rand over it takes the same code paths and draws the same values.
+type lazySource struct {
+	seed int64
+	src  rand.Source64 // nil until the first draw
+}
+
+func (l *lazySource) get() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64   { return l.get().Int63() }
+func (l *lazySource) Uint64() uint64 { return l.get().Uint64() }
+
+func (l *lazySource) Seed(seed int64) {
+	l.seed = seed
+	if l.src != nil {
+		l.src.Seed(seed)
+	}
 }
 
 // Draws is one job's dimension-addressed view of its Source: Float64(dim)
@@ -206,7 +239,7 @@ func (d Draws) Rand() *rand.Rand {
 	if d.rng != nil {
 		return d.rng
 	}
-	return rand.New(rand.NewSource(SeedAt(d.seed, d.index)))
+	return pseudoRand(d.seed, d.index)
 }
 
 // Hash salts keep the scramble streams of the kinds (and their internal

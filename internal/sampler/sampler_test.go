@@ -2,6 +2,8 @@ package sampler_test
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -61,6 +63,54 @@ func TestRandIsLegacyStreamForEveryKind(t *testing.T) {
 					t.Fatalf("%v index %d draw %d: Rand() stream %v != legacy %v", kind, index, k, g, w)
 				}
 			}
+		}
+	}
+}
+
+// TestLazyRandMatchesEagerStream: the job stream seeds its generator on
+// the first draw, so it must hand out exactly the values of the eagerly
+// seeded rand.New(rand.NewSource(SeedAt(seed, index))) — through every
+// rand.Rand method that reaches the source, and again after Seed.
+func TestLazyRandMatchesEagerStream(t *testing.T) {
+	const n = 10_000
+	for _, kind := range []sampler.Kind{sampler.Pseudo, sampler.Sobol} {
+		for _, index := range []int{0, 1, 977} {
+			lazy := sampler.New(kind, 4).Draws(-5, index).Rand()
+			eager := rand.New(rand.NewSource(sampler.SeedAt(-5, index)))
+			compare := func(phase string) {
+				for i := range n {
+					var got, want any
+					switch i % 5 {
+					case 0:
+						got, want = lazy.Float64(), eager.Float64()
+					case 1:
+						got, want = lazy.Int63(), eager.Int63()
+					case 2:
+						got, want = lazy.Uint64(), eager.Uint64()
+					case 3:
+						got, want = lazy.Intn(1+i), eager.Intn(1+i)
+					default:
+						got, want = lazy.Perm(1+i%7), eager.Perm(1+i%7)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v index %d %s draw %d: lazy %v, eager %v", kind, index, phase, i, got, want)
+					}
+				}
+			}
+			compare("first")
+			lazy.Seed(12345)
+			eager.Seed(12345)
+			compare("after Seed")
+		}
+	}
+	// Seed before the first draw must behave like a reseeded eager stream.
+	lazy := sampler.Default().Draws(3, 3).Rand()
+	eager := rand.New(rand.NewSource(sampler.SeedAt(3, 3)))
+	lazy.Seed(99)
+	eager.Seed(99)
+	for i := range n {
+		if g, w := lazy.Int63(), eager.Int63(); g != w {
+			t.Fatalf("draw %d after an early Seed: lazy %v, eager %v", i, g, w)
 		}
 	}
 }

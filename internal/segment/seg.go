@@ -31,17 +31,20 @@ func (k Kind) String() string {
 }
 
 // Seg is a value-typed segment union: one Wait, Line, or Arc payload plus
-// the two transforms the trajectory layer folds in — a frame map (affine map
-// + clock dilation) and, outside it, a speed-modulation time dilation.
+// the two transforms the trajectory layer applies — a frame (affine map +
+// clock dilation, shared by reference) and, outside it, a speed-modulation
+// time dilation.
 //
 // Seg replaces the old Segment interface on the simulator hot path: yielding
 // a Seg through a callback moves a struct, not a freshly boxed interface
 // value, so trajectory generation performs no per-segment heap allocation.
-// The evaluation arithmetic (Duration, Position, ...) performs the same
-// float64 operations in the same order as the former
-// Wait/Line/Arc/Transformed method chains, so simulation results — and the
-// experiment tables derived from them — are bit-identical to the interface
-// representation.
+// A robot's frame is fixed for the whole run, so a framed Seg carries only a
+// pointer to its stream's Frame (which caches ‖M‖₂ and the similarity
+// decomposition) rather than a copy of the map. The evaluation arithmetic
+// (Duration, Position, ...) performs the same float64 operations in the
+// same order as the former Wait/Line/Arc/Transformed method chains, so
+// simulation results — and the experiment tables derived from them — are
+// bit-identical to the interface representation.
 //
 // Payload fields are shared across kinds to keep the struct compact:
 //
@@ -49,8 +52,7 @@ func (k Kind) String() string {
 //	Line: a=From  b=To               s1=Speed
 //	Arc:  a=Center                   s1=Radius s2=StartAngle s3=Sweep s4=Speed
 type Seg struct {
-	kind   Kind
-	framed bool // frame transform present (m, tau, opNorm valid)
+	kind Kind
 
 	a, b           geom.Vec
 	s1, s2, s3, s4 float64
@@ -62,9 +64,7 @@ type Seg struct {
 	// (experiments modulate global-frame trajectories).
 	mod float64
 
-	m      geom.Affine // frame map (local → global)
-	tau    float64     // frame clock dilation
-	opNorm float64     // cached ‖m.M‖₂
+	fr *Frame // frame transform (local → global); nil means none
 }
 
 // Seg converts the Wait into its value-union form.
@@ -82,16 +82,11 @@ func (a Arc) Seg() Seg {
 func (s *Seg) Kind() Kind { return s.kind }
 
 // Framed reports whether the segment carries a frame transform.
-func (s *Seg) Framed() bool { return s.framed }
+func (s *Seg) Framed() bool { return s.fr != nil }
 
 // Modulated reports whether the segment carries a speed-modulation time
 // dilation.
 func (s *Seg) Modulated() bool { return s.mod != 0 }
-
-// Frame returns the frame transform, if any.
-func (s *Seg) Frame() (m geom.Affine, timeScale float64, ok bool) {
-	return s.m, s.tau, s.framed
-}
 
 // AsWait returns the Wait payload (without transforms) when the kind matches.
 func (s *Seg) AsWait() (Wait, bool) { return s.wait(), s.kind == KindWait }
@@ -106,28 +101,6 @@ func (s *Seg) wait() Wait { return Wait{At: s.a, Time: s.s1} }
 func (s *Seg) line() Line { return Line{From: s.a, To: s.b, Speed: s.s1} }
 func (s *Seg) arc() Arc {
 	return Arc{Center: s.a, Radius: s.s1, StartAngle: s.s2, Sweep: s.s3, Speed: s.s4}
-}
-
-// Transformed returns the segment under the affine map m and time dilation
-// timeScale — the local→global frame shift of the paper. It panics on a
-// non-positive time scale or when a frame transform is already present
-// (frames are applied exactly once, at the outermost trajectory layer).
-func (s *Seg) Transformed(m geom.Affine, timeScale float64) Seg {
-	if timeScale <= 0 {
-		panic(fmt.Sprintf("segment: Transformed with non-positive time scale %v", timeScale))
-	}
-	if s.framed {
-		panic("segment: Seg already carries a frame transform")
-	}
-	if s.mod != 0 {
-		panic("segment: frame transform under an existing time dilation")
-	}
-	out := *s
-	out.framed = true
-	out.m = m
-	out.tau = timeScale
-	out.opNorm = m.M.OperatorNorm()
-	return out
 }
 
 // Dilated rescales the segment's time unit by timeScale (geometry
@@ -161,8 +134,8 @@ func (s *Seg) innerDuration() float64 {
 // Duration returns the (outer-local) time needed to traverse the segment.
 func (s *Seg) Duration() float64 {
 	d := s.innerDuration()
-	if s.framed {
-		d *= s.tau
+	if s.fr != nil {
+		d *= s.fr.tau
 	}
 	if s.mod != 0 {
 		d *= s.mod
@@ -176,8 +149,8 @@ func (s *Seg) Position(t float64) geom.Vec {
 	if s.mod != 0 {
 		t /= s.mod
 	}
-	if s.framed {
-		t /= s.tau
+	if s.fr != nil {
+		t /= s.fr.tau
 	}
 	var p geom.Vec
 	switch s.kind {
@@ -188,8 +161,8 @@ func (s *Seg) Position(t float64) geom.Vec {
 	default:
 		p = s.arc().Position(t)
 	}
-	if s.framed {
-		p = s.m.Apply(p)
+	if s.fr != nil {
+		p = s.fr.m.Apply(p)
 	}
 	return p
 }
@@ -219,8 +192,8 @@ func (s *Seg) innerEnd() geom.Vec {
 // Start returns Position(0).
 func (s *Seg) Start() geom.Vec {
 	p := s.innerStart()
-	if s.framed {
-		p = s.m.Apply(p)
+	if s.fr != nil {
+		p = s.fr.m.Apply(p)
 	}
 	return p
 }
@@ -228,8 +201,8 @@ func (s *Seg) Start() geom.Vec {
 // End returns Position(Duration()).
 func (s *Seg) End() geom.Vec {
 	p := s.innerEnd()
-	if s.framed {
-		p = s.m.Apply(p)
+	if s.fr != nil {
+		p = s.fr.m.Apply(p)
 	}
 	return p
 }
@@ -246,8 +219,8 @@ func (s *Seg) MaxSpeed() float64 {
 	default:
 		v = s.arc().MaxSpeed()
 	}
-	if s.framed {
-		v = v * s.opNorm / s.tau
+	if s.fr != nil {
+		v = v * s.fr.opNorm / s.fr.tau
 	}
 	if s.mod != 0 {
 		v /= s.mod
@@ -277,9 +250,9 @@ func (s *Seg) DurationAndLength() (dur, length float64) {
 		length = a.PathLength()
 		dur = length / a.speedOr1()
 	}
-	if s.framed {
-		dur *= s.tau
-		length *= s.opNorm
+	if s.fr != nil {
+		dur *= s.fr.tau
+		length *= s.fr.opNorm
 	}
 	if s.mod != 0 {
 		dur *= s.mod
@@ -300,8 +273,8 @@ func (s *Seg) PathLength() float64 {
 	default:
 		l = s.arc().PathLength()
 	}
-	if s.framed {
-		l *= s.opNorm
+	if s.fr != nil {
+		l *= s.fr.opNorm
 	}
 	return l
 }

@@ -152,7 +152,8 @@ func TestArcStaysOnCircle(t *testing.T) {
 func TestTransformedIdentity(t *testing.T) {
 	inner := UnitLine(geom.V(0, 0), geom.V(1, 1))
 	innerSeg := inner.Seg()
-	tr := innerSeg.Transformed(geom.IdentityAffine, 1)
+	trFrame := NewFrame(geom.IdentityAffine, 1)
+	tr := trFrame.Apply(&innerSeg)
 	if got, want := tr.Duration(), inner.Duration(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Duration = %v, want %v", got, want)
 	}
@@ -174,7 +175,8 @@ func TestTransformedFrameSemantics(t *testing.T) {
 	inner := UnitLine(geom.Zero, geom.V(delta, 0)) // local: distance δ, time δ
 	m := geom.Affine{M: geom.FrameMatrix(v*tau, phi, +1)}
 	innerSeg := inner.Seg()
-	tr := innerSeg.Transformed(m, tau)
+	trFrame := NewFrame(m, tau)
+	tr := trFrame.Apply(&innerSeg)
 
 	if got, want := tr.Duration(), tau*delta; math.Abs(got-want) > 1e-12 {
 		t.Errorf("global duration = %v, want τδ = %v", got, want)
@@ -196,7 +198,8 @@ func TestTransformedChirality(t *testing.T) {
 	inner := UnitLine(geom.Zero, geom.V(1, 1))
 	m := geom.Affine{M: geom.FrameMatrix(1, 0, -1)}
 	innerSeg := inner.Seg()
-	tr := innerSeg.Transformed(m, 1)
+	trFrame := NewFrame(m, 1)
+	tr := trFrame.Apply(&innerSeg)
 	if got := tr.End(); !got.ApproxEqual(geom.V(1, -1), 1e-12) {
 		t.Errorf("End = %v, want (1,-1)", got)
 	}
@@ -208,8 +211,7 @@ func TestTransformedPanics(t *testing.T) {
 			t.Error("expected panic for non-positive time scale")
 		}
 	}()
-	w := Wait{}.Seg()
-	w.Transformed(geom.IdentityAffine, 0)
+	NewFrame(geom.IdentityAffine, 0)
 }
 
 func TestTransformedTwicePanics(t *testing.T) {
@@ -219,8 +221,9 @@ func TestTransformedTwicePanics(t *testing.T) {
 		}
 	}()
 	w := Wait{At: geom.V(1, 1), Time: 1}.Seg()
-	s := w.Transformed(geom.IdentityAffine, 1)
-	s.Transformed(geom.IdentityAffine, 1)
+	f := NewFrame(geom.IdentityAffine, 1)
+	s := f.Apply(&w)
+	f.Apply(&s)
 }
 
 func TestArcAtBareArc(t *testing.T) {
@@ -255,7 +258,8 @@ func TestArcAtTransformed(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			innerSeg := inner.Seg()
-			tr := innerSeg.Transformed(c.m, c.tau)
+			trFrame := NewFrame(c.m, c.tau)
+			tr := trFrame.Apply(&innerSeg)
 			g, ok := ArcAt(&tr)
 			if !ok {
 				t.Fatal("ArcAt failed on similarity-transformed arc")
@@ -279,14 +283,16 @@ func TestArcAtRejectsNonArc(t *testing.T) {
 	if _, ok := ArcAt(&lineSeg); ok {
 		t.Error("ArcAt accepted a line")
 	}
-	tr := lineSeg.Transformed(geom.IdentityAffine, 1)
+	trFrame := NewFrame(geom.IdentityAffine, 1)
+	tr := trFrame.Apply(&lineSeg)
 	if _, ok := ArcAt(&tr); ok {
 		t.Error("ArcAt accepted a transformed line")
 	}
 	// Non-similarity map over an arc must be rejected.
 	shear := geom.Affine{M: geom.Mat{A: 1, B: 1, D: 1}}
 	arcSeg := NewArc(geom.Zero, 1, 0, 1, 1).Seg()
-	sheared := arcSeg.Transformed(shear, 1)
+	shearedFrame := NewFrame(shear, 1)
+	sheared := shearedFrame.Apply(&arcSeg)
 	if _, ok := ArcAt(&sheared); ok {
 		t.Error("ArcAt accepted a sheared arc")
 	}
@@ -297,7 +303,8 @@ func TestTransformedMaxSpeedBound(t *testing.T) {
 	inner := NewArc(geom.V(1, 1), 2, 0, 3, 1.5)
 	m := geom.Affine{M: geom.FrameMatrix(0.8, 2.1, -1), T: geom.V(5, 5)}
 	innerSeg := inner.Seg()
-	tr := innerSeg.Transformed(m, 1.7)
+	trFrame := NewFrame(m, 1.7)
+	tr := trFrame.Apply(&innerSeg)
 	bound := tr.MaxSpeed()
 	const h = 1e-7
 	for i := 1; i < 50; i++ {

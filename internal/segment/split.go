@@ -21,8 +21,8 @@ func Prefix(seg Seg, d float64) Seg {
 	if seg.mod != 0 {
 		local /= seg.mod
 	}
-	if seg.framed {
-		local /= seg.tau
+	if seg.fr != nil {
+		local /= seg.fr.tau
 	}
 	out := seg
 	switch seg.kind {
@@ -68,8 +68,8 @@ func Suffix(seg Seg, t float64) Seg {
 	if seg.mod != 0 {
 		local /= seg.mod
 	}
-	if seg.framed {
-		local /= seg.tau
+	if seg.fr != nil {
+		local /= seg.fr.tau
 	}
 	if local <= 0 {
 		return seg

@@ -71,7 +71,8 @@ func TestTransformedPathLength(t *testing.T) {
 	// A similarity with scale 0.5 halves the length exactly.
 	m := geom.Affine{M: geom.FrameMatrix(0.5, 1.1, +1)}
 	lineSeg := UnitLine(geom.Zero, geom.V(4, 0)).Seg()
-	tr := lineSeg.Transformed(m, 2)
+	trFrame := NewFrame(m, 2)
+	tr := trFrame.Apply(&lineSeg)
 	if got := tr.PathLength(); math.Abs(got-2) > 1e-9 {
 		t.Errorf("PathLength = %v, want 2", got)
 	}

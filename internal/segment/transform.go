@@ -5,9 +5,9 @@ import (
 )
 
 // This file recovers exact circular geometry from transformed segments. A
-// Seg models the reference-frame shift of the paper: a robot with attributes
-// (v, τ, φ, χ) executing a local-frame segment S produces the global-frame
-// motion
+// framed Seg models the reference-frame shift of the paper: a robot with
+// attributes (v, τ, φ, χ) executing a local-frame segment S produces the
+// global-frame motion
 //
 //	t ↦ Map(S(t / τ))
 //
@@ -39,15 +39,18 @@ func ArcAt(s *Seg) (ArcGeometry, bool) {
 
 // ArcAtDur is ArcAt with the segment's duration supplied by the caller
 // (dur must equal s.Duration()); the walk hot path has already computed it.
+// The similarity test, scale and handedness of the map come precomputed
+// from the segment's Frame, so per segment only the center, start angle and
+// angular velocity are evaluated.
 func ArcAtDur(s *Seg, dur float64) (ArcGeometry, bool) {
 	if s.kind != KindArc {
 		return ArcGeometry{}, false
 	}
-	if s.framed && s.mod != 0 {
+	if s.fr != nil && s.mod != 0 {
 		return ArcGeometry{}, false
 	}
 	arc := s.arc()
-	if !s.framed && s.mod == 0 {
+	if s.fr == nil && s.mod == 0 {
 		return ArcGeometry{
 			Center:     arc.Center,
 			Radius:     arc.Radius,
@@ -58,47 +61,28 @@ func ArcAtDur(s *Seg, dur float64) (ArcGeometry, bool) {
 	}
 	// One transform present: the frame map, or a pure time dilation (which
 	// acts as the identity map).
-	m, ts := s.m, s.tau
-	if !s.framed {
-		m, ts = geom.IdentityAffine, s.mod
+	f, ts := &identityFrame, s.mod
+	if s.fr != nil {
+		f, ts = s.fr, s.fr.tau
 	}
-	// Similarity test: columns of the linear part orthogonal with equal
-	// norms.
-	c1 := geom.V(m.M.A, m.M.C)
-	c2 := geom.V(m.M.B, m.M.D)
-	n1, n2 := c1.Norm(), c2.Norm()
-	const eps = 1e-12
-	avg := (n1 + n2) / 2
-	if avg == 0 {
-		return ArcGeometry{}, false
-	}
-	if diff := n1 - n2; diff > eps*avg || diff < -eps*avg {
-		return ArcGeometry{}, false
-	}
-	if dot := c1.Dot(c2); dot > eps*avg*avg || dot < -eps*avg*avg {
+	if !f.similar {
 		return ArcGeometry{}, false
 	}
 	// Under x ↦ M x + b with M = s·Rot(α)·Diag(1, ±1), the circle
 	// C + ρ·e^{iθ} maps to (M C + b) + sρ·e^{i(±θ+α)}: again a circular arc
 	// with radius s·ρ, traversed at angular velocity ±ω/τ.
-	center := m.Apply(arc.Center)
-	scale := c1.Norm()
-	radius := arc.Radius * scale
+	center := f.m.Apply(arc.Center)
+	radius := arc.Radius * f.scale
 	if radius == 0 || dur == 0 {
 		return ArcGeometry{Center: center, Radius: radius, StartAngle: 0, Omega: 0, Duration: dur}, true
 	}
-	// Recover start angle and handedness from exact endpoint images.
+	// Recover the start angle from the exact image of the start point.
 	start := s.Position(0).Sub(center)
-	omegaInner := arc.AngularVelocity()
-	handedness := 1.0
-	if m.M.Det() < 0 {
-		handedness = -1
-	}
 	return ArcGeometry{
 		Center:     center,
 		Radius:     radius,
 		StartAngle: start.Angle(),
-		Omega:      handedness * omegaInner / ts,
+		Omega:      f.hand * arc.AngularVelocity() / ts,
 		Duration:   dur,
 	}, true
 }

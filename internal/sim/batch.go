@@ -28,10 +28,10 @@ import (
 //   - FirstMeetingBatch/RendezvousBatch interleave two streams per lane
 //     (the frame dilation shifts segment boundaries per lane), so lanes walk
 //     independently — but over one shared tape of raw segments with the raw
-//     duration/length computed once, and with each lane's frame operator
-//     norm computed once per lane instead of once per segment
-//     (segment.Frame). Generation, trig, and cursor overhead amortize across
-//     the batch.
+//     duration/length computed once, and with each lane's segment.Frame
+//     built once per lane and applied as the lane pulls a segment, exactly
+//     like the scalar streams. Generation, trig, and cursor overhead
+//     amortize across the batch.
 
 // SearchBatch runs Search for every lane of ln (target TX/TY, radius R,
 // horizon Horizon) against one shared program. Results and errors are

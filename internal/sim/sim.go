@@ -12,8 +12,12 @@
 // generator directly with a callback, and the two-stream FirstMeeting merge
 // pulls value-typed segments through one trajectory.Cursor per stream, which
 // runs the generator once on a pooled coroutine and hands segments out of
-// 64-segment windows. The per-segment motions live in caller-owned
-// motion.Mover storage, so a walk's memory is constant however long it runs.
+// 64-segment windows. Rendezvous runs the local-frame program itself on
+// both cursors: each stream holds its robot's segment.Frame and applies it
+// to a segment as it pulls it, so no frame-transform wrapper runs per
+// segment and the only allocation of a walk is its one walk-state object.
+// The per-segment motions live in that object's motion.Mover storage, so a
+// walk's memory is constant however long it runs.
 //
 // For whole grid rows of instances sharing one algorithm shape, the batched
 // SoA kernels (SearchBatch, RendezvousBatch, FirstMeetingBatch over
@@ -136,6 +140,8 @@ func detectOptions(opt Options, r float64) motion.Options {
 // absolute time axis, the odometer, and the reusable motion storage.
 type stream struct {
 	cur      trajectory.Cursor
+	fr       segment.Frame // the robot's frame, applied on pull when framed
+	framed   bool
 	seg      segment.Seg
 	segDur   float64 // seg.Duration(), computed once per segment
 	segLen   float64 // seg.PathLength(), computed once per segment
@@ -147,9 +153,14 @@ type stream struct {
 	end      float64 // absolute end of the current motion (+Inf when halted)
 }
 
-// init readies the stream and pulls its first segment.
-func (s *stream) init(src trajectory.Source) {
+// init readies the stream and pulls its first segment. A non-nil fr is
+// copied into the stream and applied to every pulled segment; nil means src
+// already yields global-frame segments.
+func (s *stream) init(src trajectory.Source, fr *segment.Frame) {
 	s.cur.Init(src)
+	if fr != nil {
+		s.fr, s.framed = *fr, true
+	}
 	s.next()
 }
 
@@ -170,7 +181,11 @@ func (s *stream) next() {
 		s.has = false
 		return
 	}
-	s.seg = seg
+	if s.framed {
+		s.seg = s.fr.Apply(&seg)
+	} else {
+		s.seg = seg
+	}
 	s.segDur, s.segLen = s.seg.DurationAndLength()
 	s.has = true
 }
@@ -213,20 +228,27 @@ func (s *stream) close() { s.cur.Close() }
 // boxed; each generator runs once, suspended between windows of segments
 // (see trajectory.Cursor).
 func FirstMeeting(a, b trajectory.Source, r float64, opt Options) (Result, error) {
+	return firstMeeting(a, b, nil, nil, r, opt)
+}
+
+// firstMeeting is FirstMeeting over local-frame sources: fa and fb (nil for
+// a source already in the global frame) are applied to each stream's
+// segments as they are pulled.
+func firstMeeting(a, b trajectory.Source, fa, fb *segment.Frame, r float64, opt Options) (Result, error) {
 	if opt.Horizon <= 0 || r <= 0 {
 		return Result{}, ErrBadOptions
 	}
 	mopt := detectOptions(opt, r)
 
-	// One allocation holds both streams: their movers escape through
-	// motion.Contact, so keep them in a single object.
+	// One allocation holds both streams and their frames: the movers
+	// escape through motion.Contact, and framed segments point at the
+	// frames, so keep them in a single object.
 	var w struct{ sa, sb stream }
 	sa, sb := &w.sa, &w.sb
-	sa.init(a)
+	sa.init(a, fa)
 	defer sa.close()
-	sb.init(b)
+	sb.init(b, fb)
 	defer sb.close()
-
 	var res Result
 	t := 0.0
 	for t < opt.Horizon {
@@ -453,12 +475,7 @@ func (in Instance) Validate() error {
 // displacement in.D under in.Attrs. Rendezvous is declared when their
 // distance first drops to in.R.
 func Rendezvous(program trajectory.Source, in Instance, opt Options) (Result, error) {
-	if err := in.Validate(); err != nil {
-		return Result{}, err
-	}
-	a := frame.Reference().Apply(program, geom.Zero)
-	b := in.Attrs.Apply(program, in.D)
-	return FirstMeeting(a, b, in.R, opt)
+	return RendezvousAsymmetric(program, program, in, opt)
 }
 
 // RendezvousAsymmetric simulates two robots running *different* local-frame
@@ -468,7 +485,10 @@ func RendezvousAsymmetric(programA, programB trajectory.Source, in Instance, opt
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
-	a := frame.Reference().Apply(programA, geom.Zero)
-	b := in.Attrs.Apply(programB, in.D)
-	return FirstMeeting(a, b, in.R, opt)
+	// The maps frame.Attributes.Apply would wrap the programs in, applied
+	// by the walk's streams instead.
+	ref := frame.Reference()
+	fa := segment.NewFrame(ref.Affine(geom.Zero), ref.Tau)
+	fb := segment.NewFrame(in.Attrs.Affine(in.D), in.Attrs.Tau)
+	return firstMeeting(programA, programB, &fa, &fb, in.R, opt)
 }

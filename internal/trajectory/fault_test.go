@@ -170,7 +170,8 @@ func TestPrefixSegments(t *testing.T) {
 	}
 	// Transformed prefix.
 	m := geom.Affine{M: geom.FrameMatrix(0.5, 1.0, +1), T: geom.V(1, 1)}
-	tr := a.Transformed(m, 2)
+	trFrame := segment.NewFrame(m, 2)
+	tr := trFrame.Apply(&a)
 	pre := segment.Prefix(tr, tr.Duration()/4)
 	if !pre.End().ApproxEqual(tr.Position(tr.Duration()/4), 1e-9) {
 		t.Errorf("transformed prefix end = %v, want %v", pre.End(), tr.Position(tr.Duration()/4))

@@ -70,16 +70,18 @@ func Repeat(gen func(round int) Source) Source {
 
 // Transform returns a Source applying the affine map m and time dilation
 // timeScale to every segment of src. This is how a reference frame is
-// applied to a whole trajectory. The transform is folded into each yielded
-// Seg value rather than wrapping it, so frame application allocates
-// nothing.
+// applied to a whole trajectory. Each run of the source builds one
+// segment.Frame (one allocation, which caches the map's operator norm and
+// similarity decomposition), and every yielded Seg refers to it rather
+// than carrying a copy of the map.
 func Transform(src Source, m geom.Affine, timeScale float64) Source {
 	return func(yield func(segment.Seg) bool) {
+		fr := segment.NewFrame(m, timeScale)
 		// Direct nested callback, not `for s := range src`: the range sugar
 		// compiles to a fresh loop-body closure plus boxed loop state per
 		// invocation, which this (one closure per invocation) avoids.
 		src(func(s segment.Seg) bool {
-			return yield(s.Transformed(m, timeScale))
+			return yield(fr.Apply(&s))
 		})
 	}
 }

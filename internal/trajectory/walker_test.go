@@ -15,31 +15,37 @@ func TestWalkerBasic(t *testing.T) {
 	}))
 	defer w.Close()
 
-	seg, start, ok := w.SegmentAt(0.5)
-	if !ok || start != 0 {
-		t.Fatalf("SegmentAt(0.5): ok=%v start=%v", ok, start)
+	seg, start, dur, advanced := w.SegmentAt(0.5)
+	if seg == nil || start != 0 || dur != 2 || !advanced {
+		t.Fatalf("SegmentAt(0.5): seg=%v start=%v dur=%v advanced=%v", seg, start, dur, advanced)
 	}
 	if got := seg.Position(0.5 - start); !got.ApproxEqual(geom.V(0.5, 0), 1e-12) {
 		t.Errorf("position = %v", got)
 	}
 
 	// Advance into the wait.
-	seg, start, ok = w.SegmentAt(2.5)
-	if !ok || start != 2 {
-		t.Fatalf("SegmentAt(2.5): ok=%v start=%v", ok, start)
+	if _, _, _, advanced := w.SegmentAt(1.5); advanced {
+		t.Error("SegmentAt(1.5) within the first segment reported advanced")
+	}
+	seg, start, dur, advanced = w.SegmentAt(2.5)
+	if seg == nil || start != 2 || dur != 1 || !advanced {
+		t.Fatalf("SegmentAt(2.5): seg=%v start=%v dur=%v advanced=%v", seg, start, dur, advanced)
 	}
 	if seg.Kind() != segment.KindWait {
 		t.Errorf("SegmentAt(2.5) kind = %v, want wait", seg.Kind())
 	}
 
 	// Re-query within the same segment is allowed.
-	if _, start2, ok := w.SegmentAt(2.2); !ok || start2 != 2 {
+	if seg2, start2, _, advanced := w.SegmentAt(2.2); seg2 == nil || start2 != 2 || advanced {
 		t.Error("re-query within current segment failed")
 	}
 
 	// Past the end: exhausted, final position available.
-	if _, _, ok := w.SegmentAt(10); ok {
-		t.Error("SegmentAt past end reported ok")
+	if seg, _, _, advanced := w.SegmentAt(10); seg != nil || !advanced {
+		t.Errorf("SegmentAt past end: seg=%v advanced=%v, want nil and advanced", seg, advanced)
+	}
+	if _, _, _, advanced := w.SegmentAt(11); advanced {
+		t.Error("SegmentAt again past end reported advanced")
 	}
 	if got := w.FinalPosition(); !got.ApproxEqual(geom.V(2, 2), 1e-12) {
 		t.Errorf("FinalPosition = %v, want (2,2)", got)
@@ -56,9 +62,9 @@ func TestWalkerSkipsZeroDurationSegments(t *testing.T) {
 		line(1, 0, 2, 0),
 	}))
 	defer w.Close()
-	seg, start, ok := w.SegmentAt(1.0)
-	if !ok {
-		t.Fatal("not ok at t=1")
+	seg, start, _, _ := w.SegmentAt(1.0)
+	if seg == nil {
+		t.Fatal("no segment at t=1")
 	}
 	if start != 1 {
 		t.Errorf("start = %v, want 1", start)
@@ -76,7 +82,7 @@ func TestWalkerO1Memory(t *testing.T) {
 		return FromSlice([]segment.Seg{segment.UnitLine(from, from.Add(geom.V(1, 0))).Seg()})
 	}))
 	defer w.Close()
-	if _, _, ok := w.SegmentAt(1000.5); !ok {
+	if seg, _, _, _ := w.SegmentAt(1000.5); seg == nil {
 		t.Fatal("infinite source reported exhausted")
 	}
 	if c := w.Consumed(); c != 1001 {
@@ -87,7 +93,7 @@ func TestWalkerO1Memory(t *testing.T) {
 func TestWalkerEmptySource(t *testing.T) {
 	w := NewWalker(FromSlice(nil))
 	defer w.Close()
-	if _, _, ok := w.SegmentAt(0); ok {
+	if seg, _, _, _ := w.SegmentAt(0); seg != nil {
 		t.Error("empty source reported a segment")
 	}
 	if got := w.FinalPosition(); got != geom.Zero {
